@@ -13,7 +13,7 @@ pub mod runner;
 use dacapo_telemetry::TelemetryRecorder;
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Common command-line options for experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -136,15 +136,27 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Anchored to the workspace rather than the current directory because
 /// cargo runs benches and tests with the *package* directory as cwd:
 /// a relative `results/` would scatter records into `crates/bench/results/`
-/// when invoked via `cargo bench` but the repo root via `cargo run`.
+/// when invoked via `cargo bench` but the repo root via `cargo run`. The
+/// root is found at run time, by walking up from the current directory to
+/// the `Cargo.toml` that declares `[workspace]`, never from the build, so a
+/// copied tree writes into itself. Outside any workspace, `results/` under
+/// the current directory.
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    // crates/bench -> crates -> workspace root.
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    match manifest.parent().and_then(std::path::Path::parent) {
-        Some(root) => root.join("results"),
-        None => PathBuf::from("results"),
-    }
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    workspace_root(&cwd).unwrap_or(cwd).join("results")
+}
+
+/// The nearest of `start` and its ancestors whose `Cargo.toml` declares a
+/// `[workspace]`.
+fn workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// Writes a serialisable result to `results/<name>.json` under the
@@ -240,6 +252,27 @@ mod tests {
     fn pct_formats_one_decimal() {
         assert_eq!(pct(0.815), "81.5%");
         assert_eq!(pct(1.0), "100.0%");
+    }
+
+    #[test]
+    fn workspace_root_walks_up_to_the_workspace_manifest() {
+        let base = std::env::temp_dir().join(format!("dacapo-root-walk-{}", std::process::id()));
+        let member = base.join("ws/crates/member/src");
+        fs::create_dir_all(&member).unwrap();
+        fs::write(base.join("ws/Cargo.toml"), "[workspace]\nmembers = [\"crates/member\"]\n")
+            .unwrap();
+        // A member manifest that only mentions workspace keys is not a root.
+        fs::write(
+            base.join("ws/crates/member/Cargo.toml"),
+            "[package]\nversion.workspace = true\n",
+        )
+        .unwrap();
+        assert_eq!(workspace_root(&member), Some(base.join("ws")));
+        assert_eq!(workspace_root(&base.join("ws")), Some(base.join("ws")));
+        fs::remove_dir_all(&base).ok();
+        // Under `cargo test` the cwd is this package; the root is two up.
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        assert_eq!(results_dir(), here.join("../..").canonicalize().unwrap().join("results"));
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //! in FP32 (the DPE's "FP32 generator"), which is why decoding an MX block to
 //! `f32` and multiply-accumulating reproduces the hardware result exactly.
 //!
+//! [`MxBlock`] is the reference encoder and the serialisable format. The
+//! simulator's hot GEMMs fake-quantise (encode then decode) through two
+//! fused integer kernels instead, which compute the round trip's values
+//! straight from the `f32` bits, bit-identically and without allocating:
+//! [`MxVector::quantize_into`] for blocks of contiguous values, and
+//! [`quantize_columns_into`] for blocks running down a matrix's columns.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,12 +51,14 @@ mod block;
 mod error;
 mod error_analysis;
 mod format;
+mod kernel;
 mod vector;
 
 pub use block::MxBlock;
 pub use error::MxError;
 pub use error_analysis::{quantization_error, QuantError};
 pub use format::{MxPrecision, RoundingMode, BLOCK_SIZE, SUBGROUP_COUNT, SUBGROUP_SIZE};
+pub use kernel::quantize_columns_into;
 pub use vector::MxVector;
 
 /// Result alias used throughout this crate.

@@ -1,6 +1,6 @@
 //! Block-wise MX encoding of arbitrary-length vectors.
 
-use crate::{MxBlock, MxError, MxPrecision, Result, RoundingMode, BLOCK_SIZE};
+use crate::{kernel, MxBlock, MxError, MxPrecision, Result, RoundingMode, BLOCK_SIZE};
 use serde::{Deserialize, Serialize};
 
 /// An arbitrary-length vector encoded block-by-block in MX format.
@@ -81,11 +81,16 @@ impl MxVector {
         Ok(Self::encode(values, precision)?.decode())
     }
 
-    /// Allocation-free fake quantisation: encode/decode each 16-element block
-    /// on the stack and write the round-tripped values into `out`.
+    /// Allocation-free fake quantisation into `out`: the entry point the hot
+    /// GEMMs use for operands blocked along contiguous memory.
     ///
-    /// Produces exactly the values [`MxVector::quantize`] would, without heap
-    /// traffic — this is the entry point the hot retraining GEMMs use.
+    /// Runs the fused integer row kernel: per 16-element block it takes the
+    /// shared exponent and microexponents from the `f32` exponent fields,
+    /// rounds each 24-bit significand with one add and shift, and rebuilds
+    /// the value from bits (the arithmetic is spelled out in the crate's
+    /// `kernel` module). The result is bit-identical to [`MxVector::quantize`],
+    /// i.e. to the [`MxBlock`] encode → decode round trip at
+    /// [`RoundingMode::Nearest`], which stays the reference oracle.
     ///
     /// # Errors
     ///
@@ -98,19 +103,7 @@ impl MxVector {
         if out.len() != values.len() {
             return Err(MxError::LengthMismatch { left: values.len(), right: out.len() });
         }
-        for (block_idx, (chunk, out_chunk)) in
-            values.chunks(BLOCK_SIZE).zip(out.chunks_mut(BLOCK_SIZE)).enumerate()
-        {
-            let block =
-                MxBlock::encode(chunk, precision, RoundingMode::Nearest).map_err(|e| match e {
-                    MxError::NonFiniteInput { index, value } => {
-                        MxError::NonFiniteInput { index: block_idx * BLOCK_SIZE + index, value }
-                    }
-                    other => other,
-                })?;
-            out_chunk.copy_from_slice(&block.decode()[..chunk.len()]);
-        }
-        Ok(())
+        kernel::quantize_row(values, precision, out)
     }
 
     /// Decodes the vector back to `f32`, dropping block padding.

@@ -5,10 +5,24 @@
 //! quantised block-by-block along the reduction (K) dimension, then the
 //! multiplication proceeds in `f32`, so the result matches what the DPE array
 //! would produce.
+//!
+//! Every MX operand goes through one of the two fused integer kernels of
+//! `dacapo_mx`, which compute the quantised values straight from the `f32`
+//! bits without allocating:
+//!
+//! * the row kernel, [`MxVector::quantize_into`], for operands blocked
+//!   along contiguous rows — [`quantize_rows`] and the left GEMM operand;
+//! * the column-block kernel, [`quantize_columns_into`], for operands
+//!   blocked down the columns — [`quantize_cols`] and the right GEMM
+//!   operand, which it quantises straight into the packed panel one
+//!   [`K_BLOCK`] of rows at a time.
+//!
+//! Both are bit-identical to the `dacapo_mx::MxBlock` encode → decode round
+//! trip, the reference oracle the tests compare them against.
 
 use crate::workspace::K_BLOCK;
 use crate::{ops, Matrix, Result, TensorError, Workspace};
-use dacapo_mx::{MxPrecision, MxVector};
+use dacapo_mx::{quantize_columns_into, MxError, MxPrecision, MxVector};
 
 /// Quantises every row of a matrix through the MX encode/decode round trip.
 ///
@@ -46,45 +60,29 @@ pub fn quantize_rows_into(a: &Matrix, precision: MxPrecision, out: &mut Matrix) 
 /// Used for the right-hand GEMM operand, whose reduction dimension runs down
 /// the columns. (This is also what DaCapo's precision-conversion unit does in
 /// "column-major" mode when producing transposed operands for retraining.)
-/// Columns are gathered and quantised one at a time — bit-identical to
-/// transposing, quantising rows, and transposing back, without the two
-/// transpose copies.
+/// Runs the column-block kernel, which is bit-identical to transposing,
+/// quantising rows, and transposing back, without the two transpose copies.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::Quantization`] if the matrix contains non-finite
-/// values.
+/// values; the reported index is the offending element's row.
 pub fn quantize_cols(a: &Matrix, precision: MxPrecision) -> Result<Matrix> {
-    let (k, n) = a.shape();
     let mut out = a.clone();
-    let mut col = vec![0.0f32; k];
-    let mut qcol = vec![0.0f32; k];
-    let src = a.as_slice();
-    let dst = out.as_mut_slice();
-    for j in 0..n {
-        for (kk, c) in col.iter_mut().enumerate() {
-            *c = src[kk * n + j];
-        }
-        MxVector::quantize_into(&col, precision, &mut qcol)?;
-        for (kk, &q) in qcol.iter().enumerate() {
-            dst[kk * n + j] = q;
-        }
-    }
+    quantize_columns_into(a.as_slice(), a.cols(), precision, out.as_mut_slice())?;
     Ok(out)
 }
 
-/// Quantises rows `kb..kb + kc` of `b` column-by-column and packs them into
-/// the workspace panel (row-major by reduction index).
+/// Quantises rows `kb..kb + kc` of `b` column-block-wise straight into the
+/// workspace panel (row-major by reduction index, the layout of `b`).
 ///
 /// Because `kb` is always a [`K_BLOCK`] multiple and `K_BLOCK` is a multiple
 /// of the 16-element MX block size, the MX blocks of each column segment
 /// coincide exactly with the blocks of the full column — so fusing
 /// quantisation into packing is bit-identical to quantising whole columns
-/// up front.
+/// up front. A non-finite element is reported by its row in `b`.
 fn pack_quantized_panel(
     panel: &mut Vec<f32>,
-    col: &mut Vec<f32>,
-    qcol: &mut Vec<f32>,
     b: &Matrix,
     kb: usize,
     kc: usize,
@@ -95,18 +93,13 @@ fn pack_quantized_panel(
     // J_TILE zeros of padding let the fixed-width tail kernel in
     // accumulate_panel read one full tile past the last packed row.
     panel.resize(kc * n + ops::J_TILE, 0.0);
-    col.resize(kc, 0.0);
-    qcol.resize(kc, 0.0);
-    let src = b.as_slice();
-    for j in 0..n {
-        for (kk, c) in col.iter_mut().enumerate() {
-            *c = src[(kb + kk) * n + j];
+    let src = &b.as_slice()[kb * n..(kb + kc) * n];
+    quantize_columns_into(src, n, precision, &mut panel[..kc * n]).map_err(|e| match e {
+        MxError::NonFiniteInput { index, value } => {
+            MxError::NonFiniteInput { index: kb + index, value }
         }
-        MxVector::quantize_into(&col[..kc], precision, &mut qcol[..kc])?;
-        for (kk, &q) in qcol[..kc].iter().enumerate() {
-            panel[kk * n + j] = q;
-        }
-    }
+        other => other,
+    })?;
     Ok(())
 }
 
@@ -136,7 +129,7 @@ pub fn mx_matmul_into(
     let (m, k) = a.shape();
     let n = b.cols();
     out.reset_to(m, n)?;
-    let Workspace { panel, qa, col, qcol } = ws;
+    let Workspace { panel, qa } = ws;
     qa.clear();
     qa.resize(m * k, 0.0);
     for r in 0..m {
@@ -144,7 +137,7 @@ pub fn mx_matmul_into(
     }
     for kb in (0..k).step_by(K_BLOCK) {
         let kc = K_BLOCK.min(k - kb);
-        pack_quantized_panel(panel, col, qcol, b, kb, kc, precision)?;
+        pack_quantized_panel(panel, b, kb, kc, precision)?;
         ops::accumulate_panel(qa, k, kb, kc, panel, out);
     }
     Ok(())
@@ -175,10 +168,10 @@ pub fn mx_matmul_prequant_into(
     let (m, k) = qa.shape();
     let n = b.cols();
     out.reset_to(m, n)?;
-    let Workspace { panel, col, qcol, .. } = ws;
+    let Workspace { panel, .. } = ws;
     for kb in (0..k).step_by(K_BLOCK) {
         let kc = K_BLOCK.min(k - kb);
-        pack_quantized_panel(panel, col, qcol, b, kb, kc, precision)?;
+        pack_quantized_panel(panel, b, kb, kc, precision)?;
         ops::accumulate_panel(qa.as_slice(), k, kb, kc, panel, out);
     }
     Ok(())
@@ -322,6 +315,28 @@ mod tests {
                 mx_matmul_prequant_into(&qa, &b, precision, &mut out, &mut ws).unwrap();
                 assert_eq!(out, reference);
             }
+        }
+    }
+
+    #[test]
+    fn non_finite_b_operand_reports_its_row_in_the_column() {
+        // Row 70 lies in the second K_BLOCK segment; the index must still be
+        // relative to the whole column, as quantize_cols reports it.
+        let a = Matrix::from_fn(2, 130, |r, c| (r + c) as f32 * 0.01).unwrap();
+        let mut b = Matrix::from_fn(130, 3, |r, c| (r * 3 + c) as f32 * 0.02).unwrap();
+        b[(70, 1)] = f32::NAN;
+        let expect_row_70 = |result: Result<()>| match result {
+            Err(TensorError::Quantization(MxError::NonFiniteInput { index, value })) => {
+                assert_eq!(index, 70);
+                assert!(value.is_nan());
+            }
+            other => panic!("expected NonFiniteInput at 70, got {other:?}"),
+        };
+        let (mut out, mut ws) = (Matrix::unit(), Workspace::new());
+        for precision in MxPrecision::ALL {
+            expect_row_70(mx_matmul_into(&a, &b, precision, &mut out, &mut ws));
+            expect_row_70(mx_matmul_prequant_into(&a, &b, precision, &mut out, &mut ws));
+            expect_row_70(quantize_cols(&b, precision).map(drop));
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for matrix operations and MX-quantised GEMM.
 
-use dacapo_mx::MxPrecision;
+use dacapo_mx::{MxPrecision, MxVector};
 use dacapo_tensor::{init, ops, quant, Matrix, Workspace};
 use proptest::prelude::*;
 
@@ -140,6 +140,36 @@ proptest! {
             let qb = quant::quantize_cols(&b, precision).unwrap();
             let reference = ops::matmul_reference(&qa, &qb).unwrap();
             prop_assert_eq!(&quant::mx_matmul(&a, &b, precision).unwrap(), &reference);
+            let mut ws = Workspace::new();
+            let mut out = Matrix::zeros(1, 1).unwrap();
+            quant::mx_matmul_into(&a, &b, precision, &mut out, &mut ws).unwrap();
+            prop_assert_eq!(&out, &reference);
+            quant::mx_matmul_prequant_into(&qa, &b, precision, &mut out, &mut ws).unwrap();
+            prop_assert_eq!(&out, &reference);
+        }
+    }
+
+    /// The fused MX GEMM equals the naive GEMM of operands quantised by the
+    /// `MxBlock` oracle itself (rows, and columns one by one), so the
+    /// integer kernels are checked end to end for `k` straddling `K_BLOCK`.
+    #[test]
+    fn fused_mx_gemm_matches_the_block_oracle((m, k, n) in gemm_dims(), seed in 0u64..1000) {
+        let a = matrix(m, k, seed);
+        let b = matrix(k, n, seed.wrapping_add(7));
+        for precision in [MxPrecision::Mx4, MxPrecision::Mx6, MxPrecision::Mx9] {
+            let oracle = |v: &[f32]| MxVector::encode(v, precision).unwrap().decode();
+            let mut qa = a.clone();
+            for r in 0..m {
+                qa.row_mut(r).copy_from_slice(&oracle(a.row(r)));
+            }
+            let mut qb = b.clone();
+            for c in 0..n {
+                let column: Vec<f32> = (0..k).map(|r| b[(r, c)]).collect();
+                for (r, q) in oracle(&column).into_iter().enumerate() {
+                    qb[(r, c)] = q;
+                }
+            }
+            let reference = ops::matmul_reference(&qa, &qb).unwrap();
             let mut ws = Workspace::new();
             let mut out = Matrix::zeros(1, 1).unwrap();
             quant::mx_matmul_into(&a, &b, precision, &mut out, &mut ws).unwrap();
