@@ -9,7 +9,9 @@
 //! zero local compute, paid for in uplink bytes and a round-trip latency
 //! that delays label arrival into the
 //! [`SampleBuffer`](crate::SampleBuffer). An EdgeCam-style **filter stage**
-//! drops near-duplicate frames before they reach the uplink, and a
+//! drops near-duplicate frames before they reach the uplink — reading only
+//! each frame's timestamp and segment attributes, so a dropped frame's
+//! sample is never synthesised — and a
 //! pluggable [`OffloadPolicy`] decides *per exchange window* (the same
 //! deterministic barriers label sharing and churn use) whether each camera
 //! labels locally or in the cloud.
@@ -805,12 +807,16 @@ impl EdgeTier {
     /// sample if the frame cleared the near-duplicate filter and shipped
     /// (it is also queued in-flight until its arrival time), or `None` if
     /// the filter dropped it.
+    ///
+    /// The filter reads only the frame's header — its timestamp and segment
+    /// attributes — so the sample itself, `(features, true_class)`, is
+    /// passed as a closure that runs only for frames that ship: a dropped
+    /// frame is never synthesised.
     pub(crate) fn offer(
         &mut self,
-        features: Vec<f32>,
-        true_class: usize,
         timestamp_s: f64,
         attributes: &SegmentAttributes,
+        sample: impl FnOnce() -> (Vec<f32>, usize),
     ) -> Option<LabeledSample> {
         if let Some(mark) = &self.state.last_shipped {
             let similarity = attribute_similarity(&mark.attributes, attributes)
@@ -824,6 +830,7 @@ impl EdgeTier {
         let completion_s = timestamp_s.max(self.state.uplink_free_at_s) + transfer_s;
         self.state.uplink_free_at_s = completion_s;
         let arrival_s = completion_s + self.spec.latency_s;
+        let (features, true_class) = sample();
         let teacher_label = self.state.cloud.label(true_class, attributes.difficulty());
         let sample = LabeledSample { features, teacher_label, true_class, timestamp_s };
         self.state.last_shipped = Some(ShippedMark { at_s: timestamp_s, attributes: *attributes });
@@ -1185,7 +1192,7 @@ mod tests {
     fn offer_ships_labels_and_queues_them_in_flight() {
         let mut tier = tier(1.0);
         let attrs = SegmentAttributes::default();
-        let shipped = tier.offer(vec![0.0; 16], 3, 1.0, &attrs).expect("first frame ships");
+        let shipped = tier.offer(1.0, &attrs, || (vec![0.0; 16], 3)).expect("first frame ships");
         assert!(shipped.teacher_label < 10);
         assert_eq!(tier.state.frames_shipped, 1);
         assert_eq!(tier.state.labels_cloud, 1);
@@ -1207,31 +1214,52 @@ mod tests {
     fn filter_drops_near_duplicates_until_the_horizon_decays() {
         let mut tier = tier(0.5);
         let attrs = SegmentAttributes::default();
-        assert!(tier.offer(vec![0.0; 16], 0, 0.0, &attrs).is_some(), "the anchor frame ships");
+        assert!(tier.offer(0.0, &attrs, || (vec![0.0; 16], 0)).is_some(), "the anchor frame ships");
         // Identical attributes a blink later: similarity ~1, filtered.
-        assert!(tier.offer(vec![0.0; 16], 0, 0.1, &attrs).is_none());
+        assert!(tier.offer(0.1, &attrs, || (vec![0.0; 16], 0)).is_none());
         assert_eq!(tier.state.frames_filtered, 1);
         // Past half the horizon the decayed similarity crosses below 0.5.
-        assert!(tier.offer(vec![0.0; 16], 0, 1.5, &attrs).is_some());
+        assert!(tier.offer(1.5, &attrs, || (vec![0.0; 16], 0)).is_some());
         // A frame whose attributes changed ships even when fresh.
         let night = SegmentAttributes {
             time: dacapo_datagen::TimeOfDay::Night,
             weather: dacapo_datagen::Weather::Rainy,
             ..attrs
         };
-        assert!(tier.offer(vec![0.0; 16], 0, 1.6, &night).is_some());
+        assert!(tier.offer(1.6, &night, || (vec![0.0; 16], 0)).is_some());
+    }
+
+    #[test]
+    fn offer_draws_the_sample_only_for_frames_that_ship() {
+        let mut tier = tier(0.5);
+        let attrs = SegmentAttributes::default();
+        let night = SegmentAttributes { time: dacapo_datagen::TimeOfDay::Night, ..attrs };
+        let mut draws = 0u64;
+        // A dense run of near-duplicates with a drift and a horizon refresh
+        // in between: most frames are filtered, a few ship.
+        for i in 0..200u32 {
+            let at_s = f64::from(i) * 0.05;
+            let frame_attrs = if i < 120 { &attrs } else { &night };
+            let _ = tier.offer(at_s, frame_attrs, || {
+                draws += 1;
+                (vec![0.0; 16], 1)
+            });
+        }
+        assert!(tier.state.frames_filtered > 0 && tier.state.frames_shipped > 1);
+        assert_eq!(draws, tier.state.frames_shipped, "filtered frames must not be drawn");
+        assert_eq!(tier.state.frames_shipped + tier.state.frames_filtered, 200);
     }
 
     #[test]
     fn a_zero_threshold_filters_everything_within_the_horizon() {
         let mut tier = tier(0.0);
         let attrs = SegmentAttributes::default();
-        assert!(tier.offer(vec![0.0; 16], 0, 0.0, &attrs).is_some());
-        assert!(tier.offer(vec![0.0; 16], 0, 1.0, &attrs).is_none());
-        assert!(tier.offer(vec![0.0; 16], 0, 1.9, &attrs).is_none());
+        assert!(tier.offer(0.0, &attrs, || (vec![0.0; 16], 0)).is_some());
+        assert!(tier.offer(1.0, &attrs, || (vec![0.0; 16], 0)).is_none());
+        assert!(tier.offer(1.9, &attrs, || (vec![0.0; 16], 0)).is_none());
         // At the horizon the decayed similarity reaches 0 == threshold, so
         // the frame is still filtered; just past it, a refresher ships.
-        assert!(tier.offer(vec![0.0; 16], 0, FILTER_HORIZON_S + 1e-6, &attrs).is_none());
+        assert!(tier.offer(FILTER_HORIZON_S + 1e-6, &attrs, || (vec![0.0; 16], 0)).is_none());
         assert_eq!(tier.state.frames_filtered, 3);
     }
 
@@ -1242,9 +1270,9 @@ mod tests {
         tier.begin_window(LabelRoute::Cloud { byte_budget: Some(budget) });
         assert_eq!(tier.phase_route(), LabelRoute::Cloud { byte_budget: Some(budget) });
         let attrs = SegmentAttributes::default();
-        tier.offer(vec![0.0; 16], 0, 0.0, &attrs).unwrap();
+        tier.offer(0.0, &attrs, || (vec![0.0; 16], 0)).unwrap();
         assert!(matches!(tier.phase_route(), LabelRoute::Cloud { .. }), "one frame under budget");
-        tier.offer(vec![0.0; 16], 0, 0.5, &attrs).unwrap();
+        tier.offer(0.5, &attrs, || (vec![0.0; 16], 0)).unwrap();
         assert_eq!(tier.phase_route(), LabelRoute::Local, "budget spent");
         // A new window resets the meter.
         tier.begin_window(LabelRoute::Cloud { byte_budget: Some(budget) });
@@ -1258,8 +1286,8 @@ mod tests {
         // Two frames offered back-to-back: the second waits for the first
         // transfer to complete before starting its own, so consecutive
         // arrivals are exactly one transfer time apart.
-        tier.offer(vec![0.0; 16], 0, 0.0, &attrs).unwrap();
-        tier.offer(vec![0.0; 16], 0, 0.001, &attrs).unwrap();
+        tier.offer(0.0, &attrs, || (vec![0.0; 16], 0)).unwrap();
+        tier.offer(0.001, &attrs, || (vec![0.0; 16], 0)).unwrap();
         let first = tier.state.in_flight[0].arrival_s;
         let second = tier.state.in_flight[1].arrival_s;
         let transfer = tier.spec.transfer_s(tier.frame_bytes);
@@ -1274,7 +1302,7 @@ mod tests {
         let mut tier = tier(0.8);
         tier.begin_window(LabelRoute::Cloud { byte_budget: Some(1 << 20) });
         let attrs = SegmentAttributes::default();
-        tier.offer(vec![0.5; 16], 2, 0.0, &attrs).unwrap();
+        tier.offer(0.0, &attrs, || (vec![0.5; 16], 2)).unwrap();
         tier.note_local_labels(5);
         let state = tier.state.clone();
         let restored = EdgeTierState::from_value(&state.to_value()).expect("round-trips");

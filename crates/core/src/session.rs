@@ -34,7 +34,7 @@ use crate::sched::{Action, Scheduler, SchedulerContext};
 use crate::sim::{PhaseKind, PhaseRecord, SimResult};
 use crate::student::StudentModel;
 use crate::{CoreError, Result};
-use dacapo_datagen::{CenterCache, Frame, FrameStream, StreamCursor};
+use dacapo_datagen::{CenterCache, FrameStream, StreamCursor};
 use dacapo_dnn::{Mlp, TeacherOracle, TrainScratch};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
@@ -1108,33 +1108,33 @@ impl Session {
 
                 // Spread the labeled samples over the phase's time range,
                 // consuming the stream through its resumable cursor (the
-                // position snapshots carry).
+                // position snapshots carry). The cursor moves to the phase
+                // end whatever is read; a frame is synthesised only when a
+                // consumer reads its sample (frames are pure functions of
+                // the index, so skipping one changes no other).
                 let step = ((phase_duration * fps) as u64 / actual_samples as u64).max(1);
                 self.cursor.seek_time(&self.stream, self.now_s);
-                let frames = self.cursor.frames_until_cached(
-                    &self.stream,
-                    self.now_s + phase_duration,
-                    step,
-                    &mut self.center_cache,
-                );
-                let selected: Vec<Frame> = frames.into_iter().take(actual_samples).collect();
+                let indices = self
+                    .cursor
+                    .indices_until(&self.stream, self.now_s + phase_duration, step)
+                    .take(actual_samples);
                 let phase_samples;
                 if offload {
                     // Cloud path: each sampled frame runs the near-duplicate
-                    // filter, survivors ship over the serial uplink and come
-                    // back as in-flight labels — nothing enters the buffer
-                    // until the round trip completes.
+                    // filter on its header, survivors are synthesised, ship
+                    // over the serial uplink and come back as in-flight
+                    // labels — nothing enters the buffer until the round
+                    // trip completes.
                     // lint: allow(panic) — offload is only true when
                     // phase_route read Cloud from this same Some(edge)
                     let tier = self.edge.as_mut().expect("a cloud route implies an edge tier");
-                    let mut shipped: Vec<LabeledSample> = Vec::with_capacity(selected.len());
-                    for frame in &selected {
-                        if let Some(sample) = tier.offer(
-                            frame.sample.features.clone(),
-                            frame.sample.true_class,
-                            frame.timestamp_s,
-                            &frame.attributes,
-                        ) {
+                    let mut shipped: Vec<LabeledSample> = Vec::new();
+                    for index in indices {
+                        let (timestamp_s, attributes) = self.stream.frame_header(index);
+                        if let Some(sample) = tier.offer(timestamp_s, &attributes, || {
+                            let frame = self.stream.frame_at_cached(index, &mut self.center_cache);
+                            (frame.sample.features, frame.sample.true_class)
+                        }) {
                             shipped.push(sample);
                         }
                     }
@@ -1146,15 +1146,17 @@ impl Session {
                         );
                     }
                 } else {
-                    let labeled: Vec<LabeledSample> = selected
-                        .iter()
-                        .map(|frame| LabeledSample {
-                            features: frame.sample.features.clone(),
-                            teacher_label: self
-                                .teacher
-                                .label(frame.sample.true_class, frame.attributes.difficulty()),
-                            true_class: frame.sample.true_class,
-                            timestamp_s: frame.timestamp_s,
+                    let labeled: Vec<LabeledSample> = indices
+                        .map(|index| {
+                            let frame = self.stream.frame_at_cached(index, &mut self.center_cache);
+                            LabeledSample {
+                                features: frame.sample.features,
+                                teacher_label: self
+                                    .teacher
+                                    .label(frame.sample.true_class, frame.attributes.difficulty()),
+                                true_class: frame.sample.true_class,
+                                timestamp_s: frame.timestamp_s,
+                            }
                         })
                         .collect();
                     // acc_l: the current student's accuracy on the freshly

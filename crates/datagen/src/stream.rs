@@ -105,6 +105,14 @@ pub struct Frame {
 /// schedulers that process frames out of order (or repeatedly, like
 /// validation) observe a consistent world.
 ///
+/// The labeling path relies on this property: it walks a phase's frame
+/// *indices*, reads each frame's [`header`](Self::frame_header) (timestamp
+/// and segment attributes, no RNG work), and synthesises the sample only for
+/// frames a consumer actually reads — frames the edge filter drops, or that
+/// fall past the phase's sample count, are never drawn. Skipping a frame
+/// cannot change any other frame, so results are bit-identical to drawing
+/// every frame eagerly.
+///
 /// # Examples
 ///
 /// ```
@@ -249,13 +257,36 @@ impl FrameStream {
         StdRng::seed_from_u64(self.config.seed.wrapping_mul(0x100_0000_01b3).wrapping_add(index))
     }
 
+    /// The header of the frame at `index`: its timestamp in seconds and the
+    /// attributes of the segment it falls in — exactly the
+    /// [`Frame::timestamp_s`] and [`Frame::attributes`] of
+    /// [`Self::frame_at`], computed without any RNG work. Consumers that
+    /// decide from the header alone (the edge tier's near-duplicate filter)
+    /// read this and draw the sample only for the frames they keep.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dacapo_datagen::{FrameStream, Scenario, StreamConfig};
+    ///
+    /// let stream = FrameStream::new(&Scenario::es1(), StreamConfig::default());
+    /// let (timestamp_s, attributes) = stream.frame_header(4321);
+    /// let frame = stream.frame_at(4321);
+    /// assert_eq!(timestamp_s, frame.timestamp_s);
+    /// assert_eq!(attributes, frame.attributes);
+    /// ```
+    #[must_use]
+    pub fn frame_header(&self, index: u64) -> (f64, SegmentAttributes) {
+        let timestamp_s = index as f64 / self.config.fps;
+        (timestamp_s, self.scenario.attributes_at(timestamp_s))
+    }
+
     /// Generates the frame at `index` (clamped semantics are not provided:
     /// indices past the end still generate deterministic frames using the
     /// last segment's attributes).
     #[must_use]
     pub fn frame_at(&self, index: u64) -> Frame {
-        let timestamp_s = index as f64 / self.config.fps;
-        let attributes = self.scenario.attributes_at(timestamp_s);
+        let (timestamp_s, attributes) = self.frame_header(index);
         let mut rng = self.frame_rng(index);
         let true_class = Self::draw_class(&mut rng, &attributes);
         // Draw the feature vector around the (class, attributes) centre.
@@ -273,8 +304,7 @@ impl FrameStream {
     /// fresh; only the redundant re-derivation is skipped.
     #[must_use]
     pub fn frame_at_cached(&self, index: u64, cache: &mut CenterCache) -> Frame {
-        let timestamp_s = index as f64 / self.config.fps;
-        let attributes = self.scenario.attributes_at(timestamp_s);
+        let (timestamp_s, attributes) = self.frame_header(index);
         let mut rng = self.frame_rng(index);
         let true_class = Self::draw_class(&mut rng, &attributes);
         let center = cache.center(self, true_class, &attributes);
@@ -489,42 +519,50 @@ impl StreamCursor {
     /// Panics if `step` is zero.
     #[must_use]
     pub fn frames_until(&mut self, stream: &FrameStream, end_s: f64, step: u64) -> Vec<Frame> {
-        assert!(step > 0, "step must be positive");
-        let last = ((end_s * stream.config.fps).ceil() as u64).min(stream.num_frames());
-        if last <= self.next_index {
-            return Vec::new();
-        }
-        let frames = (self.next_index..last).step_by(step as usize).map(|i| stream.frame_at(i));
-        let collected = frames.collect();
-        self.next_index = last;
-        collected
+        self.indices_until(stream, end_s, step).map(|i| stream.frame_at(i)).collect()
     }
 
-    /// [`Self::frames_until`] with centre lookups served by `cache` —
-    /// bit-identical frames (see [`FrameStream::frame_at_cached`]).
+    /// The indices [`Self::frames_until`] would generate — every `step`-th
+    /// frame from the current position up to (but excluding) `end_s`,
+    /// clamped to the stream's end — without generating any of them. The
+    /// cursor advances to the range's end exactly as `frames_until` does
+    /// (and stays put when the range lies in the past), however many of the
+    /// indices the caller goes on to read: a labeling phase that keeps only
+    /// its first few frames still consumes its whole time range.
     ///
     /// # Panics
     ///
     /// Panics if `step` is zero.
-    #[must_use]
-    pub fn frames_until_cached(
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dacapo_datagen::{CenterCache, FrameStream, Scenario, StreamConfig};
+    ///
+    /// let stream = FrameStream::new(&Scenario::s1(), StreamConfig::default());
+    /// let mut cursor = stream.cursor_at(10.0);
+    /// let mut cache = CenterCache::new();
+    /// // Draw only the first two of the range's every-7th frames…
+    /// let drawn: Vec<_> = cursor
+    ///     .indices_until(&stream, 20.0, 7)
+    ///     .take(2)
+    ///     .map(|i| stream.frame_at_cached(i, &mut cache))
+    ///     .collect();
+    /// assert_eq!(drawn, stream.frames_between(10.0, 20.0, 7)[..2]);
+    /// // …the cursor still sits at the end of the range.
+    /// assert_eq!(cursor.position(), 600);
+    /// ```
+    pub fn indices_until(
         &mut self,
         stream: &FrameStream,
         end_s: f64,
         step: u64,
-        cache: &mut CenterCache,
-    ) -> Vec<Frame> {
+    ) -> std::iter::StepBy<std::ops::Range<u64>> {
         assert!(step > 0, "step must be positive");
+        let first = self.next_index;
         let last = ((end_s * stream.config.fps).ceil() as u64).min(stream.num_frames());
-        if last <= self.next_index {
-            return Vec::new();
-        }
-        let collected = (self.next_index..last)
-            .step_by(step as usize)
-            .map(|i| stream.frame_at_cached(i, cache))
-            .collect();
-        self.next_index = last;
-        collected
+        self.next_index = first.max(last);
+        (first..last).step_by(step as usize)
     }
 }
 
@@ -658,14 +696,40 @@ mod tests {
             s.frames_between_cached(5.0, 65.0, 7, &mut cache),
             s.frames_between(5.0, 65.0, 7)
         );
+    }
 
+    #[test]
+    fn indices_until_matches_frames_until_frame_for_frame_and_in_position() {
+        let s = FrameStream::new(&Scenario::es1(), StreamConfig::default());
+        let mut cache = CenterCache::new();
         let mut plain = s.cursor_at(30.0);
-        let mut cached = s.cursor_at(30.0);
-        assert_eq!(
-            cached.frames_until_cached(&s, 90.0, 3, &mut cache),
-            plain.frames_until(&s, 90.0, 3)
-        );
-        assert_eq!(cached, plain);
+        let mut lazy = s.cursor_at(30.0);
+        // (end_s, step): a forward range, a past range (empty, no move), a
+        // step past the range, and a range clamped at the stream's end.
+        let end = s.num_frames() as f64 / s.config().fps;
+        for (end_s, step) in [(90.0, 3), (60.0, 1), (95.0, 1000), (end + 50.0, 7)] {
+            let drawn: Vec<Frame> = lazy
+                .indices_until(&s, end_s, step)
+                .map(|i| s.frame_at_cached(i, &mut cache))
+                .collect();
+            assert_eq!(drawn, plain.frames_until(&s, end_s, step), "range to {end_s}s step {step}");
+            assert_eq!(lazy, plain, "cursor positions diverged at {end_s}s");
+        }
+        assert!(lazy.is_exhausted(&s), "the clamp leaves the cursor at the stream's end");
+        assert_eq!(lazy.indices_until(&s, end + 100.0, 1).count(), 0);
+        assert_eq!(lazy.position(), s.num_frames());
+    }
+
+    #[test]
+    fn a_partially_read_index_range_still_consumes_the_whole_range() {
+        let s = stream();
+        let mut cursor = s.cursor_at(10.0);
+        let kept: Vec<u64> = cursor.indices_until(&s, 20.0, 7).take(3).collect();
+        assert_eq!(kept, [300, 307, 314]);
+        assert_eq!(cursor.position(), 600, "the cursor sits at the range's end");
+        // Dropping the iterator unread moves the cursor just the same.
+        let _ = cursor.indices_until(&s, 30.0, 7);
+        assert_eq!(cursor.position(), 900);
     }
 
     #[test]

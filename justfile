@@ -64,6 +64,16 @@ churn:
     cargo run --release --example checkpoint_resume
     cargo run --release -p dacapo-bench --bin elastic_churn -- --quick
 
+# The repo benchmark (simbench/, its own package and target dir): end-to-end
+# camera-seconds per host second, plus the per-layer ladder with --trace 1.
+# Example: `just simbench --workload cluster-shared --seed 1 --seconds 15 --trace 0`.
+simbench *ARGS:
+    cargo run --release --offline --manifest-path simbench/Cargo.toml -- {{ARGS}}
+
+# The benchmark package's own tests.
+simbench-test:
+    cargo test --release --offline --manifest-path simbench/Cargo.toml
+
 # Edge-cloud offload demo (custom offload policy registered by name) plus
 # the uplink x policy sweep; leaves results/BENCH_edge_cloud.json behind.
 edge-cloud:

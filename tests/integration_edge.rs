@@ -2,9 +2,10 @@
 //! bit-identical to a fleet with no edge tier at all (at any worker-thread
 //! count), offloaded clusters are deterministic across thread counts, a
 //! session snapshotted mid-window with cloud labels still in flight
-//! round-trips through JSON exactly, `EdgeMetrics` survives serde, and the
+//! round-trips through JSON exactly, `EdgeMetrics` survives serde, the
 //! uplink/offload registries resolve builtins and out-of-crate entries
-//! alike.
+//! alike, and two small offloaded clusters reproduce results pinned from
+//! the eager label path bit for bit.
 
 use dacapo_core::edge::{self, OffloadContext, OffloadPolicy, OffloadPolicyFactory};
 use dacapo_core::platform::{KernelRate, PlatformRates, Sharing};
@@ -231,4 +232,52 @@ fn registries_resolve_builtins_and_out_of_crate_policies() {
     assert!((tuned.bandwidth_bps() - 6e6).abs() < 1e-6);
     assert!((tuned.latency_s() - 0.12).abs() < 1e-9);
     assert!(edge::create_uplink("carrier-pigeon").is_err());
+}
+
+/// Exact results of two small offloaded clusters — one `cloud-only`, one
+/// `threshold:1` (a window-by-window mix of cloud and local phases) — pinned
+/// from the eager label path that synthesised every sampled frame before the
+/// near-duplicate filter ran. The values were recorded on commit `023146f`
+/// by running these exact builds (`build_cluster(3, seed, Some("lte"), ..)`
+/// at 2 threads). The label path now synthesises a frame only when a
+/// consumer reads it; because every frame is a pure function of
+/// `(stream seed, index)`, skipping the unread ones must change nothing.
+#[test]
+fn lazy_label_path_matches_the_pinned_eager_results() {
+    struct Pinned {
+        offload: &'static str,
+        seed: u64,
+        // (frames_filtered, frames_shipped, labels_cloud, labels_local, bytes_shipped)
+        counters: (u64, u64, u64, u64, u64),
+        accuracy_bits: [u64; 3],
+    }
+    let pinned = [
+        Pinned {
+            offload: "cloud-only",
+            seed: 0x91A7,
+            counters: (2343, 430, 430, 0, 25_827_520),
+            accuracy_bits: [0x3fe1_c71c_7c00_0000, 0x3fe1_c71c_7800_0000, 0x3fd3_8e38_e800_0000],
+        },
+        Pinned {
+            offload: "threshold:1",
+            seed: 0x91A8,
+            counters: (1574, 288, 288, 768, 17_298_432),
+            accuracy_bits: [0x3fe1_c71c_7800_0000, 0x3fdc_71c7_2800_0000, 0x3fe1_c71c_7c00_0000],
+        },
+    ];
+    for pin in pinned {
+        let result = build_cluster(3, pin.seed, Some("lte"), pin.offload, 2)
+            .run()
+            .expect("offloaded cluster runs");
+        let e = &result.edge;
+        assert_eq!(
+            (e.frames_filtered, e.frames_shipped, e.labels_cloud, e.labels_local, e.bytes_shipped),
+            pin.counters,
+            "{} edge counters moved",
+            pin.offload
+        );
+        let bits: Vec<u64> =
+            result.fleet.cameras.iter().map(|c| c.result.mean_accuracy.to_bits()).collect();
+        assert_eq!(bits, pin.accuracy_bits, "{} per-camera accuracy moved", pin.offload);
+    }
 }
